@@ -7,8 +7,9 @@ to grab an idle CUDA stream (the kernel then runs on the GPU and its
 completion is a future); if every stream it can see is busy the kernel
 overflows onto the CPU worker itself.  The :class:`ExecutionEngine`
 reproduces exactly that routing for *real* solver work —
-:meth:`repro.core.gravity.fmm.FmmSolver.solve` hands it the recorded
-M2L/P2P interaction batches, :class:`repro.core.mesh.BlockMesh` hands it
+:meth:`repro.core.gravity.fmm.FmmSolver.solve` hands it the entries of
+its recorded M2L/P2P plan (the same entries a serial solve computes
+inline), :class:`repro.core.mesh.BlockMesh` hands it
 per-block hydro right-hand sides — instead of only for the synthetic
 kernels of the simulator.
 
@@ -43,7 +44,10 @@ yes        yes        chunk tasks fan out to workers; each chunk's region
 yes        no         plain work-stealing CPU execution
 no         yes        calling thread fills one region over the whole
                       batch; buffer-full flushes launch on streams
-no         no         synchronous execution (serial reference)
+no         no         synchronous execution on the calling thread,
+                      chunk by chunk; a serial FMM solve
+                      (``executor=None``) runs the same plan one entry
+                      at a time, with the same bits
 ========== ========= ==================================================
 """
 

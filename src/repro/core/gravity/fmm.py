@@ -27,6 +27,15 @@ The implementation is struct-of-arrays NumPy throughout — per level, per
 stencil offset, cells are matched by Morton-key ``searchsorted`` and whole
 pair batches run through the vectorized kernels, mirroring the paper's
 stencil-based SoA redesign of Sec. 4.3.
+
+Step 2 depends only on the geometry, so the first solve *records* it as
+a plan of pair batches and computes nothing while doing so.  Every
+solve, the first included, then runs that plan through one compute
+path: :meth:`FmmSolver._compute_entry` (tiled, with staged leaf
+geometry) followed by in-order accumulation on the calling thread.  A
+serial solve is that loop run inline, one entry at a time; an
+:class:`~repro.core.exec.ExecutionEngine` only changes where the
+entries are computed, never the bits.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from ...runtime.counters import default_registry
 from ...sanitize import racecheck as _racecheck
 from ...sanitize import state as _sanitize_state
 from ...util import morton_key
-from ..workspace import Workspace
 from .kernels import m2l_pair, p2p_pair, p2p_pair_staged
 from .multipole import aggregate_m2m, taylor_shift
 from .stencil import (OPENING_R2, canonical_stencil, p2p_stencil,
@@ -49,17 +57,6 @@ from .stencil import (OPENING_R2, canonical_stencil, p2p_stencil,
 __all__ = ["FmmLevel", "FmmSolver", "GravityResult"]
 
 _TINY = 1e-300
-
-
-def _fresh_p2p_out(n: int) -> tuple[np.ndarray, ...]:
-    """Freshly allocated (phiA, phiB, accA, accB) batch outputs."""
-    return (np.empty(n), np.empty(n), np.empty((n, 3)), np.empty((n, 3)))
-
-
-def _fresh_m2l_out(n: int) -> tuple[np.ndarray, ...]:
-    """Freshly allocated (phiA, phiB, accA, accB, HA, HB) batch outputs."""
-    return (np.empty(n), np.empty(n), np.empty((n, 3)), np.empty((n, 3)),
-            np.empty((n, 3, 3)), np.empty((n, 3, 3)))
 
 
 @dataclass
@@ -172,27 +169,17 @@ class FmmSolver:
             raise ValueError("need at least one level")
         self.levels = levels
         self._link_parents()
-        # interaction pair lists depend only on geometry: record them on
-        # the first solve and replay on subsequent ones (Mesh re-solves
-        # gravity every hydro stage on a fixed grid)
-        self._pair_script: list[tuple[str, int, np.ndarray, int,
-                                      np.ndarray]] | None = None
-        self._recording = False
-        # aggregated-replay plan: script entries resolved to level objects
-        # plus per-entry staging buffers (see _prepare_replay)
-        self._plan: list[tuple] | None = None
+        # interaction pair batches depend only on geometry: the first
+        # solve records them as the plan, every solve runs the plan (Mesh
+        # re-solves gravity every hydro stage on a fixed grid)
+        self._plan: list[tuple[str, FmmLevel, np.ndarray, FmmLevel,
+                               np.ndarray]] | None = None
+        # per-entry staged leaf-leaf P2P geometry (see _stage_plan)
         self._stage: list[tuple | None] | None = None
-        self._stage_bytes = 0
-        # scratch for the serial compute path: pair gathers and kernel
-        # outputs live in capacity-grown buffers reused across batches
-        # and solves (each batch is fully accumulated before the next
-        # compute, so reuse is safe; the futurized path draws per-entry
-        # outputs from a slot-indexed pool instead — see _compute_entry)
-        self._ws = Workspace()
-        # futurized per-entry output pool, keyed by (kind, chunk slot):
-        # _replay_futurized fully accumulates each dispatched chunk
-        # before issuing the next, so slot j's buffers are free again by
-        # the time the next chunk's entry j starts computing
+        # per-entry output pool, keyed by (kind, chunk slot): _run_plan
+        # fully accumulates each computed chunk before computing the
+        # next, so slot j's buffers are free again by the time the next
+        # chunk's entry j starts computing (a serial solve uses slot 0)
         self._out_pool: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
 
     # -- constructors -----------------------------------------------------
@@ -284,61 +271,48 @@ class FmmSolver:
     def solve(self, executor=None) -> GravityResult:
         """Run the three FMM steps; returns the leaf field.
 
-        ``executor`` is an optional
-        :class:`~repro.core.exec.ExecutionEngine`: the recorded same-level
-        interaction batches are then dispatched as independent tasks onto
-        scheduler workers and (when the engine holds a device) coalesced
-        into aggregated launches on GPU streams with CPU overflow — the
-        paper's futurized per-subgrid gravity (Sec. 5.1) plus the
-        work-aggregation layer (arXiv 2210.06438).  Pair contributions
-        are *accumulated* on the calling thread in recorded batch order,
-        so a futurized solve is bit-identical to a serial one.
+        The first solve records the geometry-dependent plan of pair
+        batches without computing any of them (see :meth:`_same_level`).
+        Every solve, the first included, then runs the plan through one
+        path, :meth:`_run_plan`: each entry is computed by
+        :meth:`_compute_entry` and *accumulated* on the calling thread in
+        recorded order.
 
-        The very first solve records the geometry-dependent pair script
-        and therefore runs serially; every subsequent solve replays it,
-        futurized when an executor is given.
+        ``executor=None`` computes the entries inline, one at a time.
+        ``executor`` is an optional
+        :class:`~repro.core.exec.ExecutionEngine`: the entries are then
+        dispatched as independent tasks onto scheduler workers and (when
+        the engine holds a device) coalesced into aggregated launches on
+        GPU streams with CPU overflow — the paper's futurized
+        per-subgrid gravity (Sec. 5.1) plus the work-aggregation layer
+        (arXiv 2210.06438).  Only the placement of the computation
+        changes, so a futurized solve is bit-identical to a serial one.
         """
         reg = default_registry()
         reg.increment("/fmm/solves")
         self._reset_taylor()
         self._upward()
-        if self._pair_script is None:
-            self._pair_script = []
-            self._recording = True
+        if self._plan is None:
+            self._plan = []
             self._same_level()
-            self._recording = False
-        elif executor is not None:
+            self._stage_plan()
+        if executor is not None:
             reg.increment("/fmm/solves-futurized")
-            self._replay_futurized(executor)
-        else:
-            self._replay()
+        self._run_plan(executor)
         self._downward()
         return self._collect()
 
-    def _replay(self) -> None:
-        reg = default_registry()
-        by_id = {lv.level: lv for lv in self.levels}
-        for kind, la_lvl, a, lb_lvl, b in self._pair_script:
-            la, lb = by_id[la_lvl], by_id[lb_lvl]
-            if kind == "m2l":
-                reg.increment("/fmm/interactions/multipole", len(a))
-                self._m2l_kernel(la, a, lb, b)
-            else:
-                reg.increment("/fmm/interactions/monopole", len(a))
-                self._p2p_kernel(la, a, lb, b)
-
-    #: staging-buffer memory budget (bytes) for the aggregated replay
-    #: path; entries past the budget compute their geometry per solve.
+    #: staging-buffer memory budget (bytes); entries past the budget
+    #: compute their geometry per solve.
     #: Kept deliberately modest: past a few hundred MB the extra
     #: resident set costs more in memory traffic than the saved
     #: Green-function arithmetic returns.
     _STAGE_BUDGET_BYTES = 256 * 1024 ** 2
 
-    def _prepare_replay(self) -> None:
-        """Resolve the pair script into the aggregated replay plan.
+    def _stage_plan(self) -> None:
+        """Stage the geometry of the plan's leaf-leaf P2P entries.
 
-        Per entry we keep the level objects (no dict lookup per replay)
-        and, for leaf-leaf P2P batches, **staging buffers**: the
+        For leaf-leaf P2P batches we keep **staging buffers**: the
         separations ``dR`` and inverse-distance factors of the batch.
         Leaf centres of mass are pinned to the geometric cell centres by
         :meth:`set_leaf_density`, so these are constants of the solver's
@@ -349,15 +323,11 @@ class FmmSolver:
 
         The factors are computed with exactly the expressions of
         :func:`repro.core.gravity.kernels.p2p_pair`, so the staged kernel
-        stays bit-identical to the serial reference.
+        is bit-identical to the unstaged one.
         """
-        by_id = {lv.level: lv for lv in self.levels}
-        plan: list[tuple] = []
         stage: list[tuple | None] = []
         used = 0
-        for kind, la_lvl, a, lb_lvl, b in self._pair_script:
-            la, lb = by_id[la_lvl], by_id[lb_lvl]
-            plan.append((kind, la, a, lb, b))
+        for kind, la, a, lb, b in self._plan:
             staged = None
             if (kind == "p2p" and bool(la.leaf[a].all())
                     and bool(lb.leaf[b].all())):
@@ -371,31 +341,31 @@ class FmmSolver:
                     staged = (dR, inv, inv3)
                     used += need
             stage.append(staged)
-        self._plan, self._stage, self._stage_bytes = plan, stage, used
+        self._stage = stage
         default_registry().set_gauge("/fmm/staged-bytes", float(used))
 
-    #: pair-tile size of the aggregated compute path.  A recorded M2L
-    #: batch of ~250k pairs churns hundreds of MB of Green-function
-    #: temporaries (``g3`` alone is 216 B/pair); running the kernel over
-    #: cache-sized sub-batches keeps the temporaries resident and is
-    #: measurably faster on the same flops.  All pair kernels are
-    #: elementwise along the pair axis, so tiling + concatenation is
-    #: bitwise identical to the one-shot call.
+    #: pair-tile size of the compute path.  A recorded M2L batch of
+    #: ~250k pairs churns hundreds of MB of Green-function temporaries
+    #: (``g3`` alone is 216 B/pair); running the kernel over cache-sized
+    #: sub-batches keeps the temporaries resident and is measurably
+    #: faster on the same flops.  All pair kernels are elementwise along
+    #: the pair axis, so tiling is bitwise identical to the one-shot
+    #: call.
     _TILE = 16384
 
     @staticmethod
-    def _run_tiled(kernel, n: int, tile_args, make_out):
+    def _run_tiled(kernel, tile_args, outs):
         """Run an elementwise pair ``kernel`` in :attr:`_TILE`-sized
         sub-batches; ``tile_args(sl)`` gathers one tile's inputs.
 
         Gathering *per tile* (rather than the whole batch up front)
         keeps each gathered tile cache-resident through the kernel
         call.  Every tile writes its results straight into slices of
-        the preallocated batch outputs ``make_out(n)`` via the kernels'
+        the preallocated batch outputs ``outs`` via the kernels'
         ``out=`` parameter — no per-tile result lists, no concatenate.
         """
         tile = FmmSolver._TILE
-        outs = make_out(n)
+        n = len(outs[0])
         if _sanitize_state.ACTIVE:
             # whole-batch write declaration for the (possibly pooled)
             # output buffers this task is about to fill
@@ -413,8 +383,9 @@ class FmmSolver:
         The pool is NOT thread-local: slot ``j``'s buffers are written
         by whichever worker computes a chunk's ``j``-th entry and read
         by the accumulating thread, which finishes the whole chunk
-        before the next one is dispatched — so distinct in-flight
-        entries never share a slot and reuse across chunks is safe.
+        before the next one is computed — so distinct in-flight entries
+        never share a slot and reuse across chunks is safe.  A serial
+        solve is a run of one-entry chunks and only ever touches slot 0.
         """
         key = (kind, slot)
         trailing = ((), (), (3,), (3,)) if kind == "p2p" \
@@ -425,33 +396,25 @@ class FmmSolver:
             self._out_pool[key] = cur
         return tuple(o[:n] for o in cur)
 
-    def _compute_entry(self, i: int, slot: int | None = None):
-        """Pure compute half of replay-plan entry ``i`` (engine task).
+    def _compute_entry(self, i: int, slot: int):
+        """Pure compute half of plan entry ``i`` (engine task).
 
         Runs the pair kernel tiled with per-tile gathers (see
-        :attr:`_TILE` and :meth:`_run_tiled`).  No accumulation happens
-        here, so entries are safe to compute concurrently and in any
-        order.  Outputs come from the slot-indexed pool (``slot`` is the
-        entry's position within its dispatched chunk — see
-        :meth:`_pool_out`), or are freshly allocated when no slot is
-        given; the calling thread is still accumulating earlier entries
-        while workers compute later ones, so the serial path's single
-        set of workspace output buffers must not be shared here.
+        :attr:`_TILE` and :meth:`_run_tiled`) into the pool buffers of
+        ``slot``, the entry's position within its chunk (see
+        :meth:`_pool_out`).  No accumulation happens here, so entries
+        are safe to compute concurrently and in any order.
         """
         kind, la, a, lb, b = self._plan[i]
+        outs = self._pool_out(kind, slot, len(a))
         if kind == "m2l":
-            make_out = _fresh_m2l_out if slot is None \
-                else (lambda n: self._pool_out("m2l", slot, n))
-
             def tile_args(sl):
                 at, bt = a[sl], b[sl]
                 return (la.com[at] - lb.com[bt],
                         np.maximum(la.m[at], _TINY),
                         np.maximum(lb.m[bt], _TINY),
                         la.M2[at], lb.M2[bt])
-            return self._run_tiled(m2l_pair, len(a), tile_args, make_out)
-        make_out = _fresh_p2p_out if slot is None \
-            else (lambda n: self._pool_out("p2p", slot, n))
+            return self._run_tiled(m2l_pair, tile_args, outs)
         staged = self._stage[i]
         if staged is None:
             def tile_args(sl):
@@ -459,66 +422,69 @@ class FmmSolver:
                 return (la.com[at] - lb.com[bt],
                         np.maximum(la.m[at], _TINY),
                         np.maximum(lb.m[bt], _TINY))
-            return self._run_tiled(p2p_pair, len(a), tile_args,
-                                   make_out)
+            return self._run_tiled(p2p_pair, tile_args, outs)
         dR, inv, inv3 = staged
 
         def tile_args(sl):
             return (dR[sl], inv[sl], inv3[sl],
                     np.maximum(la.m[a[sl]], _TINY),
                     np.maximum(lb.m[b[sl]], _TINY))
-        return self._run_tiled(p2p_pair_staged, len(a), tile_args,
-                               make_out)
+        return self._run_tiled(p2p_pair_staged, tile_args, outs)
 
-    def _replay_futurized(self, engine) -> None:
-        """Dispatch the pair script through an execution engine.
+    def _run_plan(self, engine) -> None:
+        """Compute every plan entry and accumulate it in recorded order.
 
-        Each script entry becomes one task computing its kernel batch
-        (the compute-heavy gather + vectorized pair kernel, with staged
-        geometry where available — see :meth:`_prepare_replay`); the
-        engine coalesces each slot-buffer-sized chunk of entries into
-        one aggregated stream launch.  Launches are dispatched **one at
-        a time**, each fully scatter-accumulated before the next is
-        issued: a chunk of large batches produces hundreds of MB of
-        kernel output, and letting multiple chunks compute or queue
-        concurrently costs more in cache/memory traffic than the
-        overlap buys back (time-sliced on a busy host, two in-flight
-        aggregated ops simply evict each other).  Accumulation runs
-        here, in script order, so the result is byte-identical to
-        :meth:`_replay` regardless of how the batches were placed,
-        aggregated or interleaved.
+        Without an engine each entry is computed inline into pool slot
+        0 and accumulated before the next one is computed, so a serial
+        solve holds one entry's outputs at a time.  With an engine each
+        slot-buffer-sized chunk of entries is dispatched as tasks that
+        the engine coalesces into one aggregated stream launch.  Chunks
+        are dispatched **one at a time**, each fully scatter-accumulated
+        before the next is issued: a chunk of large batches produces
+        hundreds of MB of kernel output, and letting multiple chunks
+        compute or queue concurrently costs more in cache/memory
+        traffic than the overlap buys back (time-sliced on a busy host,
+        two in-flight aggregated ops simply evict each other).
+        Accumulation always runs here, in plan order, so the result is
+        byte-identical however the entries were placed, aggregated or
+        interleaved.
         """
-        reg = default_registry()
-        script = self._pair_script
-        if self._plan is None:
-            self._prepare_replay()
-        n = len(script)
+        n = len(self._plan)
+        if engine is None:
+            for i in range(n):
+                self._accumulate_entry(i, self._compute_entry(i, 0))
+            return
         chunk = max(int(getattr(engine, "agg_slots", 1)), 1)
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             futs = engine.map(self._compute_entry,
                               [(i, j) for j, i in enumerate(range(lo, hi))])
             for j, i in enumerate(range(lo, hi)):
-                kind, la, a, lb, b = self._plan[i]
                 out = futs[j].get()
                 futs[j] = None  # release the output once accumulated
-                if _sanitize_state.ACTIVE:
-                    # the future's resolution edge orders these reads
-                    # after the computing worker's writes; slot reuse in
-                    # the next chunk is ordered through the re-dispatch
-                    for o in out:
-                        _racecheck.access(o, "r", owner="fmm/pair-out")
-                if kind == "m2l":
-                    reg.increment("/fmm/interactions/multipole", len(a))
-                    phiA, phiB, accA, accB, HA, HB = out
-                    _accumulate(la, a, phiA, accA, HA)
-                    _accumulate(lb, b, phiB, accB, HB)
-                else:
-                    reg.increment("/fmm/interactions/monopole", len(a))
-                    phiA, phiB, accA, accB = out
-                    _accumulate(la, a, phiA, accA, None)
-                    _accumulate(lb, b, phiB, accB, None)
+                self._accumulate_entry(i, out)
                 del out
+
+    def _accumulate_entry(self, i: int, out: tuple[np.ndarray, ...]
+                          ) -> None:
+        """Scatter-add the computed outputs of plan entry ``i``."""
+        kind, la, a, lb, b = self._plan[i]
+        if _sanitize_state.ACTIVE:
+            # the future's resolution edge orders these reads after the
+            # computing worker's writes; slot reuse in the next chunk is
+            # ordered through the re-dispatch
+            for o in out:
+                _racecheck.access(o, "r", owner="fmm/pair-out")
+        reg = default_registry()
+        if kind == "m2l":
+            reg.increment("/fmm/interactions/multipole", len(a))
+            phiA, phiB, accA, accB, HA, HB = out
+        else:
+            reg.increment("/fmm/interactions/monopole", len(a))
+            phiA, phiB, accA, accB = out
+            HA = HB = None
+        _accumulate(la, a, phiA, accA, HA)
+        _accumulate(lb, b, phiB, accB, HB)
 
     def _reset_taylor(self) -> None:
         for lv in self.levels:
@@ -543,6 +509,12 @@ class FmmSolver:
     # -- step 2: same-level + near-field -------------------------------------------
 
     def _same_level(self) -> None:
+        """Record the same-level and near-field pair batches as the plan.
+
+        Nothing is computed here: :meth:`_apply_m2l` and
+        :meth:`_apply_p2p` only validate and append batches, and
+        :meth:`_run_plan` computes them on every solve.
+        """
         mixed: list[tuple[int, np.ndarray, int, np.ndarray]] = []
         root_offsets = _lex_positive(root_stencil())
         offsets_p, par_ok = _parity_offset_table()
@@ -597,16 +569,13 @@ class FmmSolver:
             self._apply_p2p(la, a[both_leaf], lb, b[both_leaf])
             rest = ~both_leaf
             a, b = a[rest], b[rest]
-        if self._recording:
-            self._validate_pairs(la, a, lb, b)
-            self._pair_script.append(("m2l", la.level, a, lb.level, b))
-        default_registry().increment("/fmm/interactions/multipole", len(a))
-        self._m2l_kernel(la, a, lb, b)
+        self._validate_pairs(la, a, lb, b)
+        self._plan.append(("m2l", la, a, lb, b))
 
     @staticmethod
     def _validate_pairs(la: FmmLevel, a: np.ndarray,
                         lb: FmmLevel, b: np.ndarray) -> None:
-        """Plan-build-time separation guard, hoisted out of the kernels.
+        """Plan-record-time separation guard, hoisted out of the kernels.
 
         Distinct cells always have distinct geometric centres (and the
         COMs the kernels divide by lie strictly inside their cells), so
@@ -621,65 +590,10 @@ class FmmSolver:
         if np.any(np.einsum("ni,ni->n", d, d) == 0.0):
             raise ValueError("coincident cells in interaction kernel")
 
-    def _gather_pairs(self, la: FmmLevel, a: np.ndarray,
-                      lb: FmmLevel, b: np.ndarray, tag: str
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather (dR, mA, mB) of one pair batch into workspace buffers."""
-        ws = self._ws
-        n = len(a)
-        cA = np.take(la.com, a, axis=0, out=ws.take(tag + ":cA", n, (3,)))
-        cB = np.take(lb.com, b, axis=0, out=ws.take(tag + ":cB", n, (3,)))
-        dR = np.subtract(cA, cB, out=cA)
-        mA = np.take(la.m, a, out=ws.take(tag + ":mA", n))
-        np.maximum(mA, _TINY, out=mA)
-        mB = np.take(lb.m, b, out=ws.take(tag + ":mB", n))
-        np.maximum(mB, _TINY, out=mB)
-        return dR, mA, mB
-
-    def _m2l_compute(self, la: FmmLevel, a: np.ndarray,
-                     lb: FmmLevel, b: np.ndarray):
-        """Serial compute half of M2L: workspace gathers + fused pair
-        kernel writing into reused workspace outputs.  Safe because the
-        caller accumulates the batch before the next compute begins."""
-        ws = self._ws
-        n = len(a)
-        dR, mA, mB = self._gather_pairs(la, a, lb, b, "m2l")
-        M2A = np.take(la.M2, a, axis=0, out=ws.take("m2l:M2A", n, (3, 3)))
-        M2B = np.take(lb.M2, b, axis=0, out=ws.take("m2l:M2B", n, (3, 3)))
-        out = (ws.take("m2l:phiA", n), ws.take("m2l:phiB", n),
-               ws.take("m2l:accA", n, (3,)), ws.take("m2l:accB", n, (3,)),
-               ws.take("m2l:HA", n, (3, 3)), ws.take("m2l:HB", n, (3, 3)))
-        return m2l_pair(dR, mA, mB, M2A, M2B, out=out)
-
-    def _m2l_kernel(self, la: FmmLevel, a: np.ndarray,
-                    lb: FmmLevel, b: np.ndarray) -> None:
-        phiA, phiB, accA, accB, HA, HB = self._m2l_compute(la, a, lb, b)
-        _accumulate(la, a, phiA, accA, HA)
-        _accumulate(lb, b, phiB, accB, HB)
-
     def _apply_p2p(self, la: FmmLevel, a: np.ndarray,
                    lb: FmmLevel, b: np.ndarray) -> None:
-        if self._recording:
-            self._validate_pairs(la, a, lb, b)
-            self._pair_script.append(("p2p", la.level, a, lb.level, b))
-        default_registry().increment("/fmm/interactions/monopole", len(a))
-        self._p2p_kernel(la, a, lb, b)
-
-    def _p2p_compute(self, la: FmmLevel, a: np.ndarray,
-                     lb: FmmLevel, b: np.ndarray):
-        """Serial compute half of P2P (see :meth:`_m2l_compute`)."""
-        ws = self._ws
-        n = len(a)
-        dR, mA, mB = self._gather_pairs(la, a, lb, b, "p2p")
-        out = (ws.take("p2p:phiA", n), ws.take("p2p:phiB", n),
-               ws.take("p2p:accA", n, (3,)), ws.take("p2p:accB", n, (3,)))
-        return p2p_pair(dR, mA, mB, out=out)
-
-    def _p2p_kernel(self, la: FmmLevel, a: np.ndarray,
-                    lb: FmmLevel, b: np.ndarray) -> None:
-        phiA, phiB, accA, accB = self._p2p_compute(la, a, lb, b)
-        _accumulate(la, a, phiA, accA, None)
-        _accumulate(lb, b, phiB, accB, None)
+        self._validate_pairs(la, a, lb, b)
+        self._plan.append(("p2p", la, a, lb, b))
 
     def _near_field(self, lv: FmmLevel,
                     par_code: np.ndarray,

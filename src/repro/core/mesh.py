@@ -19,8 +19,7 @@ Two implementations with identical physics:
   slot-buffer launches instead of hundreds of per-kernel ones.  Its
   results match :class:`Mesh` bit-for-bit given the same inputs
   (tested), demonstrating that the runtime integration "does not change
-  the physics".  ``DistributedMesh`` remains as an alias of its former
-  name.
+  the physics".
 
 Boundary conditions: ``outflow`` (zero gradient), ``reflect`` (mirror,
 normal momentum negated) and ``periodic``.
@@ -47,7 +46,7 @@ from .gravity.fmm import FmmSolver
 from .hydro.solver import HydroOptions, apply_floors, cfl_dt, compute_rhs
 from .workspace import Workspace
 
-__all__ = ["Mesh", "BlockMesh", "DistributedMesh", "apply_boundary"]
+__all__ = ["Mesh", "BlockMesh", "apply_boundary"]
 
 
 def _conserved_totals(I: np.ndarray, dx: float,
@@ -222,7 +221,7 @@ class Mesh:
     def _gravity_for_state(self) -> np.ndarray:
         """Acceleration for the current density, reusing the end-of-step
         solve when the density has not changed since (bit-identical to a
-        fresh solve: same solver, same recorded pair script, same input)."""
+        fresh solve: same solver, same recorded plan, same input)."""
         if self._grav_rho is not None and np.array_equal(
                 self._grav_rho, self.interior[RHO]):
             return self._grav_acc
@@ -692,7 +691,3 @@ class BlockMesh:
         """Mass, momentum, gas energy, total angular momentum (+spin)."""
         return _conserved_totals(self.gather_interior(), self.dx,
                                  self.origin, self.phi)
-
-
-#: former name of :class:`BlockMesh`, kept as an alias
-DistributedMesh = BlockMesh

@@ -1,10 +1,56 @@
 """Shared fixtures for the repro test suite."""
 
+import faulthandler
+import os
+
 import numpy as np
 import pytest
 
 from repro import sanitize
 from repro.sanitize import schedules
+
+
+#: stderr duplicate the hang fallback dumps to (absent: fallback inactive)
+_HANG_FD = pytest.StashKey[int]()
+
+
+def pytest_addoption(parser, pluginmanager):
+    """Without pytest-timeout, register its ``timeout`` ini key so the
+    ``pyproject.toml`` cap still reaches the faulthandler fallback."""
+    if not pluginmanager.hasplugin("timeout"):
+        parser.addini("timeout", "per-test cap in seconds; without "
+                      "pytest-timeout a hang dumps every thread's stack "
+                      "and exits the run", default="0")
+
+
+def pytest_configure(config):
+    if (not config.pluginmanager.hasplugin("timeout")
+            and float(config.getini("timeout") or 0) > 0):
+        # output capture is suspended during configure, so fd 2 is the
+        # real stderr here; a dump into a capture file would be lost
+        config.stash[_HANG_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    fd = config.stash.get(_HANG_FD, None)
+    if fd is not None:
+        os.close(fd)
+        del config.stash[_HANG_FD]
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fallback per-test cap: a test running past ``timeout`` seconds
+    dumps all thread stacks to stderr and exits the run non-zero."""
+    fd = item.config.stash.get(_HANG_FD, None)
+    if fd is None:
+        return (yield)
+    faulthandler.dump_traceback_later(float(item.config.getini("timeout")),
+                                      exit=True, file=fd)
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BlockMesh, DistributedMesh, IdealGas, Mesh, evolve
+from repro.core import BlockMesh, IdealGas, Mesh, evolve
 from repro.core.hydro.solver import HydroOptions
 from repro.core.scenario import equilibrium_star
 
@@ -110,6 +110,3 @@ class TestValidation:
         block = BlockMesh(blocks_per_edge=2)
         with pytest.raises(RuntimeError):
             block.solve_gravity()
-
-    def test_distributed_mesh_alias(self):
-        assert DistributedMesh is BlockMesh

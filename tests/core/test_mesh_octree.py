@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, DistributedMesh,
-                        IdealGas, Mesh, Octree, apply_boundary, prolong,
-                        restrict)
+from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, BlockMesh, IdealGas,
+                        Mesh, Octree, apply_boundary, prolong, restrict)
 from repro.core.hydro.solver import HydroOptions
 from repro.runtime import WorkStealingScheduler
 
@@ -102,8 +101,8 @@ class TestDistributedEquivalence:
         x, y, z = single.cell_centers()
         rho = 1.0 + 0.5 * np.sin(2 * np.pi * (x + y + z) / 3)
         single.load_primitives(rho, 0.1, 0.0, -0.05, 1.0 + 0 * rho)
-        dist = DistributedMesh(blocks_per_edge=2, domain=1.0, options=opts,
-                               bc="outflow", scheduler=scheduler)
+        dist = BlockMesh(blocks_per_edge=2, domain=1.0, options=opts,
+                         bc="outflow", scheduler=scheduler)
         dist.load_interior(single.interior.copy())
         return single, dist
 
