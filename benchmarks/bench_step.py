@@ -193,7 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         "/cuda/agg-launches", "/cuda/agg-tasks", "/cuda/aggregated-per-launch",
         "/threads/stolen", "/threads/executed", "/exec/batches",
         "/exec/tasks", "/fmm/solves", "/fmm/solves-futurized",
-        "/fmm/staged-bytes",
         "/fmm/interactions/multipole", "/fmm/interactions/monopole")}
     report = {
         "config": {

@@ -95,8 +95,9 @@ REPRO010 *unsanitized-task-buffer-write*
     ``.submit(...)`` call anywhere in the linted tree) mutates an
     engine-owned buffer — an ``out``/``outs`` parameter, a buffer taken
     from a workspace (``ws.take(...)``, ``self._ws...``) or the
-    futurized output pool (``_pool_out``), or any local alias of one —
-    via subscript assignment, in-place ``+=``, or ``np.copyto``,
+    futurized output pool (``_pool_out``), or any local alias or
+    unpacked element of one — via subscript assignment, in-place ``+=``,
+    ``np.copyto``, ``.fill(...)`` or a call's ``out=`` argument,
     without declaring a single shadow access
     (:func:`repro.sanitize.racecheck.access`) anywhere in its body.
     Such writes run concurrently on worker threads; without the paired
@@ -463,13 +464,15 @@ class _Linter(ast.NodeVisitor):
             changed = False
             for sub in ast.walk(fn):
                 if not (isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Name)):
+                        and len(sub.targets) == 1):
                     continue
-                tgt = sub.targets[0].id
-                if tgt not in owned and self._is_engine_buffer(sub.value,
-                                                               owned):
-                    owned.add(tgt)
+                tgt = sub.targets[0]
+                # ``a = buf`` or the unpacked ``a, b = self._pool_out(...)``
+                elts = tgt.elts if isinstance(tgt, ast.Tuple) else [tgt]
+                names = {e.id for e in elts if isinstance(e, ast.Name)}
+                if names - owned and self._is_engine_buffer(sub.value,
+                                                            owned):
+                    owned |= names
                     changed = True
         if not owned:
             return
@@ -496,14 +499,28 @@ class _Linter(ast.NodeVisitor):
                         else None)
                 if name in owned:
                     hit(sub, "in-place update of", name)
-            elif (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "copyto"
-                    and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id in ("np", "numpy") and sub.args):
-                name = self._root_name(sub.args[0])
-                if name in owned:
-                    hit(sub, "np.copyto into", name)
+            elif isinstance(sub, ast.Call):
+                func = sub.func
+                if (isinstance(func, ast.Attribute) and func.attr == "copyto"
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in ("np", "numpy") and sub.args):
+                    name = self._root_name(sub.args[0])
+                    if name in owned:
+                        hit(sub, "np.copyto into", name)
+                elif isinstance(func, ast.Attribute) and func.attr == "fill":
+                    name = self._root_name(func.value)
+                    if name in owned:
+                        hit(sub, "fill of", name)
+                # a kernel writing through ``out=buf`` / ``out=(a, b)``
+                for kw in sub.keywords:
+                    if kw.arg != "out":
+                        continue
+                    elts = kw.value.elts if isinstance(kw.value, ast.Tuple) \
+                        else [kw.value]
+                    hits = [n for n in map(self._root_name, elts)
+                            if n in owned]
+                    if hits:
+                        hit(sub, "out= write into", hits[0])
 
     # -- visitors ---------------------------------------------------------
 

@@ -9,10 +9,16 @@ Steps, exactly as the paper lays them out:
 2. **Same-level interactions**: each cell interacts with the neighbours
    selected by the opening criterion.  Our partition is parity-exact
    (see :mod:`.stencil`): a pair is processed by the multipole kernel at
-   the coarsest level at which it is well separated; leaf-level near
-   pairs go through the 12-flop monopole P2P kernel; near pairs between a
-   leaf and a refined cell descend on the refined side (the paper's
-   monopole-multipole / multipole-monopole AMR-boundary kernels).
+   the coarsest level at which it is well separated; leaf-level pairs
+   (near pairs, and far pairs between leaves, whose M2 = 0) go through
+   the 12-flop monopole P2P kernel; near pairs between a leaf and a
+   refined cell descend on the refined side (the paper's
+   monopole-multipole / multipole-monopole AMR-boundary kernels).  On
+   the finest level of a uniform grid the P2P pairs of one offset form a
+   *shifted slab* of the dense grid with one constant separation, so that
+   level runs as one stencil term per offset on dense arrays — the
+   paper's Sec. 4.3 switch from interaction lists to stencils — while
+   interior levels and adaptive grids keep Morton-matched pair lists.
 
 3. **Downward** (top-down): Taylor expansions (potential, acceleration,
    Hessian) shift from parents to children (L2L) and accumulate.
@@ -21,7 +27,8 @@ Conservation comes from construction: every pair force is computed once
 and applied antisymmetrically, and the Hessian term of the downward pass
 realizes the quadrupole (tidal) torques on child cells, so total linear
 and angular momentum of the resulting field are conserved to machine
-precision (see ``tests/core/test_fmm_conservation.py``).
+precision (see ``tests/core/test_fmm.py`` and
+``tests/core/test_fmm_slab.py``).
 
 The implementation is struct-of-arrays NumPy throughout — per level, per
 stencil offset, cells are matched by Morton-key ``searchsorted`` and whole
@@ -29,13 +36,13 @@ pair batches run through the vectorized kernels, mirroring the paper's
 stencil-based SoA redesign of Sec. 4.3.
 
 Step 2 depends only on the geometry, so the first solve *records* it as
-a plan of pair batches and computes nothing while doing so.  Every
-solve, the first included, then runs that plan through one compute
-path: :meth:`FmmSolver._compute_entry` (tiled, with staged leaf
-geometry) followed by in-order accumulation on the calling thread.  A
-serial solve is that loop run inline, one entry at a time; an
-:class:`~repro.core.exec.ExecutionEngine` only changes where the
-entries are computed, never the bits.
+a plan of pair batches and slab groups and computes nothing while doing
+so.  Every solve, the first included, then runs that plan through one
+compute path: :meth:`FmmSolver._compute_entry` (tiled pair kernels, or
+slab terms into a dense output) followed by in-order accumulation on
+the calling thread.  A serial solve is that loop run inline, one entry
+at a time; an :class:`~repro.core.exec.ExecutionEngine` only changes
+where the entries are computed, never the bits.
 """
 
 from __future__ import annotations
@@ -172,10 +179,15 @@ class FmmSolver:
         # interaction pair batches depend only on geometry: the first
         # solve records them as the plan, every solve runs the plan (Mesh
         # re-solves gravity every hydro stage on a fixed grid)
-        self._plan: list[tuple[str, FmmLevel, np.ndarray, FmmLevel,
-                               np.ndarray]] | None = None
-        # per-entry staged leaf-leaf P2P geometry (see _stage_plan)
-        self._stage: list[tuple | None] | None = None
+        self._plan: list[tuple] | None = None
+        # set by from_uniform: (leaf depth, grid edge)
+        self._uniform_shape: tuple[int, int] | None = None
+        # slab leaf P2P of a uniform solver (see _record_slabs): Morton
+        # slot -> flat grid cell, per-parity-subset cell masks and the
+        # per-solve masked leaf masses
+        self._slab_cells: np.ndarray | None = None
+        self._slab_masks: np.ndarray | None = None
+        self._slab_mass: np.ndarray | None = None
         # per-entry output pool, keyed by (kind, chunk slot): _run_plan
         # fully accumulates each computed chunk before computing the
         # next, so slot j's buffers are free again by the time the next
@@ -259,6 +271,8 @@ class FmmSolver:
                 vals = rho[c[:, 0], c[:, 1], c[:, 2]]
             else:
                 vals = rho
+            if not np.isfinite(vals).all():
+                raise ValueError("non-finite density")
             if np.any(vals < 0):
                 raise ValueError("negative density")
             vol = lvl_obj.width ** 3
@@ -295,54 +309,12 @@ class FmmSolver:
         if self._plan is None:
             self._plan = []
             self._same_level()
-            self._stage_plan()
+        self._mask_slab_mass()
         if executor is not None:
             reg.increment("/fmm/solves-futurized")
         self._run_plan(executor)
         self._downward()
         return self._collect()
-
-    #: staging-buffer memory budget (bytes); entries past the budget
-    #: compute their geometry per solve.
-    #: Kept deliberately modest: past a few hundred MB the extra
-    #: resident set costs more in memory traffic than the saved
-    #: Green-function arithmetic returns.
-    _STAGE_BUDGET_BYTES = 256 * 1024 ** 2
-
-    def _stage_plan(self) -> None:
-        """Stage the geometry of the plan's leaf-leaf P2P entries.
-
-        For leaf-leaf P2P batches we keep **staging buffers**: the
-        separations ``dR`` and inverse-distance factors of the batch.
-        Leaf centres of mass are pinned to the geometric cell centres by
-        :meth:`set_leaf_density`, so these are constants of the solver's
-        geometry — the slot-buffer reuse of the work-aggregation design,
-        amortizing the per-launch gather/Green-function setup across
-        solves.  Staging stops at ``_STAGE_BUDGET_BYTES``; the total is
-        published as the ``/fmm/staged-bytes`` gauge.
-
-        The factors are computed with exactly the expressions of
-        :func:`repro.core.gravity.kernels.p2p_pair`, so the staged kernel
-        is bit-identical to the unstaged one.
-        """
-        stage: list[tuple | None] = []
-        used = 0
-        for kind, la, a, lb, b in self._plan:
-            staged = None
-            if (kind == "p2p" and bool(la.leaf[a].all())
-                    and bool(lb.leaf[b].all())):
-                need = a.size * 5 * 8  # dR (n,3) + inv + inv3, float64
-                if used + need <= self._STAGE_BUDGET_BYTES:
-                    dR = la.com[a] - lb.com[b]
-                    x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
-                    r2 = x * x + y * y + z * z
-                    inv = 1.0 / np.sqrt(r2)
-                    inv3 = inv / r2
-                    staged = (dR, inv, inv3)
-                    used += need
-            stage.append(staged)
-        self._stage = stage
-        default_registry().set_gauge("/fmm/staged-bytes", float(used))
 
     #: pair-tile size of the compute path.  A recorded M2L batch of
     #: ~250k pairs churns hundreds of MB of Green-function temporaries
@@ -378,7 +350,11 @@ class FmmSolver:
 
     def _pool_out(self, kind: str, slot: int, n: int
                   ) -> tuple[np.ndarray, ...]:
-        """Capacity-grown per-entry output buffers for chunk slot ``slot``.
+        """Per-entry output buffers for chunk slot ``slot``.
+
+        Pair kinds get capacity-grown ``(n, ...)`` outputs; ``"slab"``
+        gets the dense ``(4, n, n, n)`` phi/acc output of an edge-``n``
+        grid plus the kernel's product scratch.
 
         The pool is NOT thread-local: slot ``j``'s buffers are written
         by whichever worker computes a chunk's ``j``-th entry and read
@@ -388,9 +364,14 @@ class FmmSolver:
         solve is a run of one-entry chunks and only ever touches slot 0.
         """
         key = (kind, slot)
+        cur = self._out_pool.get(key)
+        if kind == "slab":
+            if cur is None:
+                cur = self._out_pool[key] = (np.empty((4, n, n, n)),
+                                             np.empty(4 * n ** 3))
+            return cur
         trailing = ((), (), (3,), (3,)) if kind == "p2p" \
             else ((), (), (3,), (3,), (3, 3), (3, 3))
-        cur = self._out_pool.get(key)
         if cur is None or len(cur[0]) < n:
             cur = tuple(np.empty((n,) + t) for t in trailing)
             self._out_pool[key] = cur
@@ -399,13 +380,28 @@ class FmmSolver:
     def _compute_entry(self, i: int, slot: int):
         """Pure compute half of plan entry ``i`` (engine task).
 
-        Runs the pair kernel tiled with per-tile gathers (see
-        :attr:`_TILE` and :meth:`_run_tiled`) into the pool buffers of
-        ``slot``, the entry's position within its chunk (see
+        Pair entries run their kernel tiled with per-tile gathers (see
+        :attr:`_TILE` and :meth:`_run_tiled`); a slab entry sums its
+        offsets' slab terms into a zeroed dense output (see
+        :meth:`_record_slabs`).  Either way the results land in the pool
+        buffers of ``slot``, the entry's position within its chunk (see
         :meth:`_pool_out`).  No accumulation happens here, so entries
         are safe to compute concurrently and in any order.
         """
         kind, la, a, lb, b = self._plan[i]
+        if kind == "slab":
+            out, scratch = self._pool_out(kind, slot, self._uniform_shape[1])
+            if _sanitize_state.ACTIVE:
+                _racecheck.access(out, "w", owner="fmm/pair-out")
+                _racecheck.access(scratch, "w", owner="fmm/pair-out")
+            out.fill(0.0)
+            mass = self._slab_mass
+            for ma, mb, oa, ob, green in a:
+                out_a = out[oa]
+                p2p_pair_staged(mass[ma], mass[mb], green,
+                                out=(out_a, out[ob]),
+                                tmp=scratch[:out_a.size].reshape(out_a.shape))
+            return (out,)
         outs = self._pool_out(kind, slot, len(a))
         if kind == "m2l":
             def tile_args(sl):
@@ -415,21 +411,13 @@ class FmmSolver:
                         np.maximum(lb.m[bt], _TINY),
                         la.M2[at], lb.M2[bt])
             return self._run_tiled(m2l_pair, tile_args, outs)
-        staged = self._stage[i]
-        if staged is None:
-            def tile_args(sl):
-                at, bt = a[sl], b[sl]
-                return (la.com[at] - lb.com[bt],
-                        np.maximum(la.m[at], _TINY),
-                        np.maximum(lb.m[bt], _TINY))
-            return self._run_tiled(p2p_pair, tile_args, outs)
-        dR, inv, inv3 = staged
 
         def tile_args(sl):
-            return (dR[sl], inv[sl], inv3[sl],
-                    np.maximum(la.m[a[sl]], _TINY),
-                    np.maximum(lb.m[b[sl]], _TINY))
-        return self._run_tiled(p2p_pair_staged, tile_args, outs)
+            at, bt = a[sl], b[sl]
+            return (la.com[at] - lb.com[bt],
+                    np.maximum(la.m[at], _TINY),
+                    np.maximum(lb.m[bt], _TINY))
+        return self._run_tiled(p2p_pair, tile_args, outs)
 
     def _run_plan(self, engine) -> None:
         """Compute every plan entry and accumulate it in recorded order.
@@ -467,7 +455,7 @@ class FmmSolver:
 
     def _accumulate_entry(self, i: int, out: tuple[np.ndarray, ...]
                           ) -> None:
-        """Scatter-add the computed outputs of plan entry ``i``."""
+        """Add the computed outputs of plan entry ``i`` to its levels."""
         kind, la, a, lb, b = self._plan[i]
         if _sanitize_state.ACTIVE:
             # the future's resolution edge orders these reads after the
@@ -476,6 +464,12 @@ class FmmSolver:
             for o in out:
                 _racecheck.access(o, "r", owner="fmm/pair-out")
         reg = default_registry()
+        if kind == "slab":
+            reg.increment("/fmm/interactions/monopole", b)
+            grid = out[0].reshape(4, -1).take(self._slab_cells, axis=1)
+            la.phi += grid[0]
+            la.acc += grid[1:].T
+            return
         if kind == "m2l":
             reg.increment("/fmm/interactions/multipole", len(a))
             phiA, phiB, accA, accB, HA, HB = out
@@ -512,21 +506,105 @@ class FmmSolver:
         """Record the same-level and near-field pair batches as the plan.
 
         Nothing is computed here: :meth:`_apply_m2l` and
-        :meth:`_apply_p2p` only validate and append batches, and
-        :meth:`_run_plan` computes them on every solve.
+        :meth:`_apply_p2p` only validate and append batches,
+        :meth:`_record_slabs` appends the uniform leaf level's slab
+        groups, and :meth:`_run_plan` computes them on every solve.
         """
         mixed: list[tuple[int, np.ndarray, int, np.ndarray]] = []
-        root_offsets = _lex_positive(root_stencil())
+        # every well-separated pair of the coarsest level's box
+        root_offsets = _lex_positive(
+            root_stencil(int(self.levels[0].coords.max()) + 1))
         offsets_p, par_ok = _parity_offset_table()
+        slab_level = None if self._uniform_shape is None \
+            else self._uniform_shape[0]
         for li, lv in enumerate(self.levels):
+            far, far_ok = (root_offsets, None) if li == 0 \
+                else (offsets_p, par_ok)
+            if li == slab_level:
+                self._record_slabs(lv, far, far_ok)
+                continue
             par_code = ((lv.coords[:, 0] & 1) << 2) \
                 | ((lv.coords[:, 1] & 1) << 1) | (lv.coords[:, 2] & 1)
-            if li == 0:
-                self._m2l_offsets(lv, root_offsets, par_code, None)
-            else:
-                self._m2l_offsets(lv, offsets_p, par_code, par_ok)
+            self._m2l_offsets(lv, far, par_code, far_ok)
             self._near_field(lv, par_code, mixed)
         self._mixed_descent(mixed)
+
+    def _record_slabs(self, lv: FmmLevel, far: np.ndarray,
+                      far_ok: np.ndarray | None) -> None:
+        """Record the leaf level of a uniform solver as slab terms.
+
+        Every leaf-leaf pair of offset ``w`` (the lex-positive far
+        offsets ``far``, restricted by parity through ``far_ok``, plus
+        the near P2P offsets) is a cell of one *shifted slab*: cells
+        ``A`` of the dense grid paired with ``B = A + w``.  Leaf centres
+        of mass are pinned to the cell centres, so one staged Green
+        factor ``(-1/r, w dx / r^3)`` serves the whole slab and no pair
+        list, gather or scatter is needed.
+
+        A far offset serves the pairs whose ``A`` cell has a parity in
+        its subset ``S``.  Rather than masking per offset, the solve
+        multiplies the leaf masses by one cell mask per distinct subset
+        (:meth:`_mask_slab_mass`): the ``B`` side's receivers take the
+        ``S``-masked masses of ``A``, and the ``A`` side's receivers the
+        masses of ``B`` masked by ``S`` permuted by the parity of ``w``
+        (``parity(a) = parity(b) ^ (w & 1)``).
+
+        Terms are grouped into ``"slab"`` plan entries of about
+        :attr:`_CHUNK` slab cells each, ``(kind, lv, terms, lv, pairs)``.
+        """
+        M = self._uniform_shape[1]
+        near = _lex_positive(p2p_stencil())
+        ok = np.ones((len(far) + len(near), 8), dtype=bool)
+        if far_ok is not None:
+            ok[:len(far)] = far_ok
+        g = np.arange(M)
+        par = ((g[:, None, None] & 1) << 2) | ((g[None, :, None] & 1) << 1) \
+            | (g[None, None, :] & 1)
+        subsets: dict[tuple[bool, ...], int] = {}
+        terms: list[tuple] = []
+        work = pairs = 0
+        for w, ok_a in zip(np.concatenate([far, near]), ok):
+            ext = M - np.abs(w)
+            if (ext <= 0).any():
+                continue
+            sa = tuple(slice(max(0, -c), M - max(0, c)) for c in w)
+            n_pairs = int(ok_a[par[sa]].sum())
+            if n_pairs == 0:
+                continue
+            sb = tuple(slice(max(0, c), M - max(0, -c)) for c in w)
+            w_par = ((w[0] & 1) << 2) | ((w[1] & 1) << 1) | (w[2] & 1)
+            ok_b = ok_a[np.arange(8) ^ w_par]
+            d = w * lv.width
+            r2 = float(d @ d)
+            inv = 1.0 / np.sqrt(r2)
+            green = np.concatenate([[-inv], d * (inv / r2)])
+            sub_a = subsets.setdefault(tuple(ok_a), len(subsets))
+            sub_b = subsets.setdefault(tuple(ok_b), len(subsets))
+            # (masses of A, masses of B, output of A, output of B, factor)
+            terms.append(((sub_a,) + sa, (sub_b,) + sb, (slice(None),) + sa,
+                          (slice(None),) + sb, green[:, None, None, None]))
+            pairs += n_pairs
+            work += int(ext.prod())
+            if work >= self._CHUNK:
+                self._plan.append(("slab", lv, terms, lv, pairs))
+                terms, work, pairs = [], 0, 0
+        if terms:
+            self._plan.append(("slab", lv, terms, lv, pairs))
+        self._slab_cells = lv.coords @ np.array([M * M, M, 1])
+        self._slab_masks = np.stack([np.array(s)[par] for s in subsets])
+        self._slab_mass = np.empty(self._slab_masks.shape)
+
+    def _mask_slab_mass(self) -> None:
+        """Per solve: the leaf masses of a uniform solver as a dense grid,
+        once per parity subset of :meth:`_record_slabs`."""
+        if self._slab_masks is None:
+            return
+        M = self._uniform_shape[1]
+        lv = self.levels[self._uniform_shape[0]]
+        grid = np.empty(M ** 3)
+        grid[self._slab_cells] = lv.m
+        np.multiply(self._slab_masks, grid.reshape(M, M, M),
+                    out=self._slab_mass)
 
     #: pair-batch flush threshold (keeps kernel temporaries ~100 MB)
     _CHUNK = 250_000

@@ -18,11 +18,14 @@ conservation claims of Sec. 4.2/4.3 structural rather than accidental:
   which is the mechanism behind Octo-Tiger's angular-momentum-conserving
   FMM (Marcello 2017);
 * monopole-monopole forces are parallel to R, so the leaf-level P2P pass
-  conserves angular momentum *bitwise* (R x cR = 0 exactly in IEEE
-  arithmetic).
+  carries no spin torque at all.
 
-All kernels are vectorized over pair arrays (struct-of-arrays layout, as
-the paper's Sec. 4.3 kernels are).
+The pair kernels are vectorized over pair arrays (struct-of-arrays
+layout, as the paper's Sec. 4.3 kernels are).  On the leaf level of a
+uniform grid the solver needs no pair arrays: all pairs of one offset
+share one separation and form two shifted slabs of the dense grid,
+which :func:`p2p_pair_staged` updates in place (the stencil form of
+Sec. 4.3).
 
 Fused component form (the Sec. 4.3 kernel rework): ``g2`` has 6 and
 ``g3`` 10 unique components, but the original einsum formulation
@@ -167,34 +170,33 @@ def p2p_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray, out=None
     return phiA, phiB, accA, accB
 
 
-def p2p_pair_staged(dR: np.ndarray, inv: np.ndarray, inv3: np.ndarray,
-                    mA: np.ndarray, mB: np.ndarray, out=None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                               np.ndarray]:
-    """P2P with pre-staged Green-function factors (work aggregation).
+def p2p_pair_staged(mA: np.ndarray, mB: np.ndarray, green: np.ndarray,
+                    out, tmp: np.ndarray) -> None:
+    """Leaf P2P over one shifted slab with the offset's staged Green factor.
 
-    The aggregated replay path keeps per-batch staging buffers alive
-    across launches (the slot-buffer reuse of the aggregation design):
-    leaf centres of mass are pinned to the cell centres, so ``dR`` and
-    the inverse-distance factors ``inv = 1/r`` / ``inv3 = 1/r^3`` of a
-    recorded leaf-leaf batch are geometric constants and only the
-    mass-dependent factors change between solves.
+    On a uniform leaf level every pair of offset ``w`` has the same
+    separation, so the pairs form two equal-shape slabs of the dense
+    grid: cells ``A`` and their partners ``B = A + w``.  ``mA`` / ``mB``
+    are the source masses on the two slabs, ``green`` the staged
+    ``(-1/r, w dx / r^3)`` broadcast as ``(4, 1, 1, 1)``, and
+    ``out = (outA, outB)`` the ``(4,) + slab`` phi/acc views both
+    updated in place::
 
-    Bit-identical to :func:`p2p_pair` given matching staged factors: the
-    remaining expressions are the same operations in the same order.
+        outA += green * mB          # phi_A = -mB/r, acc_A = +mB w dx/r^3
+        outB += green' * mA         # green' = (-1/r, -w dx / r^3)
+
+    Both sides use the same stacked factor with opposite acceleration
+    signs, so the forces on ``A`` and ``B`` (``mA acc_A``, ``mB acc_B``)
+    are equal and opposite up to the rounding of one product.  ``tmp``
+    (contiguous, ``(4,) + slab``) holds the products; nothing is
+    allocated.
     """
-    if out is None:
-        n = len(dR)
-        out = (np.empty(n), np.empty(n), np.empty((n, 3)),
-               np.empty((n, 3)))
-    phiA, phiB, accA, accB = out
-    phiA[...] = -mB * inv
-    phiB[...] = -mA * inv
-    f = -(mA * mB * inv3)[:, None] * dR
-    np.divide(f, mA[:, None], out=accA)
-    np.divide(f, mB[:, None], out=accB)
-    np.negative(accB, out=accB)
-    return phiA, phiB, accA, accB
+    outA, outB = out
+    np.multiply(green, mB, out=tmp)
+    outA += tmp
+    np.multiply(green, mA, out=tmp)
+    outB[0] += tmp[0]
+    outB[1:] -= tmp[1:]
 
 
 def m2l_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,

@@ -82,7 +82,7 @@ def parity_stencils(max_w: int = 9) -> dict[tuple[int, int, int], np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def root_stencil(n: int = 8) -> np.ndarray:
     """Coarsest-level M2L offsets: every well-separated pair in an n^3 box.
 

@@ -351,7 +351,10 @@ def test_repro010_workspace_pool_and_alias_mutations_fire():
                  "buf = self._ws.buf('b', 8)\n    buf[0] = x",
                  "o = self._pool_out('m2l', slot, n)\n    np.copyto(o, x)",
                  "rhs2 = out\n    rhs2[...] = x",
-                 "r = out if out is not None else alloc()\n    r[...] = x"):
+                 "r = out if out is not None else alloc()\n    r[...] = x",
+                 "o, t = self._pool_out('slab', slot, n)\n    o.fill(0.0)",
+                 "o, t = self._pool_out('slab', slot, n)\n"
+                 "    v = o[1:]\n    kernel(x, out=(t, v))"):
         src = (f"def kern(x, out, slot=0, n=1):\n    {body}\n\n"
                "engine.submit(kern, 1)\n")
         vs = lint_source(src, rel="repro/core/gravity/mod.py")
@@ -386,6 +389,9 @@ def test_repro010_out_of_scope_cases_are_clean():
         def kern(x, out):
             tmp = [0]
             tmp[0] = x
+            local = alloc()
+            local.fill(0.0)
+            kernel(x, out=local)
             return tmp
 
         engine.map(kern, [(1,)])

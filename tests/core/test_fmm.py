@@ -73,6 +73,14 @@ class TestUniformSolver:
         with pytest.raises(ValueError):
             solver.set_leaf_density({0: -np.ones((8, 8, 8))})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_density_rejected(self, bad):
+        solver = FmmSolver.from_uniform(np.ones((8, 8, 8)), 0.1)
+        rho = np.ones((8, 8, 8))
+        rho[3, 1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.set_leaf_density({0: rho})
+
     def test_acc_matches_direct_summation(self, uniform16):
         rng, M, rho, solver, result = uniform16
         phi, acc = solver.uniform_field(result)

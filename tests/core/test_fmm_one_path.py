@@ -9,7 +9,9 @@ boundaries produce the mixed-descent entries):
 * ``executor=None``, an inline ``ExecutionEngine()`` and a scheduler +
   device engine give bit-identical fields from the first solve on;
 * a serial solve only ever uses output-pool slot 0 of each kind, so it
-  holds one entry's outputs at a time.
+  holds one entry's outputs at a time;
+* on uniform grids the leaf level is all shifted-slab entries, so the
+  above holds for them too.
 """
 
 import numpy as np
@@ -97,7 +99,12 @@ def _check_one_path(build, engine) -> FmmSolver:
 @settings(max_examples=8, deadline=None)
 @given(shape=st.sampled_from(UNIFORM_SHAPES), dens=densities)
 def test_uniform_one_path_bit_identical(scheduler_engine, shape, dens):
-    _check_one_path(_uniform_builder(shape, dens), scheduler_engine)
+    solver = _check_one_path(_uniform_builder(shape, dens), scheduler_engine)
+    # the leaf level runs as shifted-slab entries (no leaf pair lists),
+    # so the checks above held for them on every executor
+    leaf = solver.levels[-1]
+    assert {kind for kind, la, _a, _lb, _b in solver._plan
+            if la is leaf} == {"slab"}
 
 
 @settings(max_examples=5, deadline=None)
