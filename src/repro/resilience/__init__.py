@@ -17,7 +17,11 @@ AMR astrophysics.  This package supplies both halves of the story:
   (periodic mesh snapshots consumed by
   :func:`repro.core.stepper.evolve` and
   :class:`repro.core.stepper.GuardedStepper`) and stream quarantine in
-  :mod:`repro.runtime.cuda`.
+  :mod:`repro.runtime.cuda`;
+* the workload — :func:`run_merger`, the one harness that drives the
+  distributed V1309 merger through every layer at once under a
+  :class:`FaultScript` (presets :data:`CHAOS`, :data:`DISTRIBUTED`,
+  :data:`RECOVERY`) and checks it against a fault-free node-level run.
 
 Everything publishes ``/resilience/...`` counters into the registry from
 :mod:`repro.runtime.counters` and emits trace spans when tracing is on.
@@ -34,10 +38,8 @@ from .durability import (BlockRecord, BuddyReplicatedStore, ManifestRecord,
 from .supervisor import DEFAULT_TASK_RETRIES, SupervisedEngine
 from .health import (DEFAULT_HEARTBEAT_INTERVAL_S, DEFAULT_PHI_THRESHOLD,
                      FailureDetector)
-from .chaos import ChaosConfig, ChaosResult, run_chaos_merger
-from .distrun import (DistributedMergerConfig, DistributedMergerResult,
-                      RecoveryMergerConfig, RecoveryMergerResult,
-                      run_distributed_merger, run_recovery_merger)
+from .merger import (CHAOS, DISTRIBUTED, RECOVERY, FaultScript,
+                     MergerConfig, MergerResult, run_merger)
 
 __all__ = [
     "FaultInjector", "InjectedFault", "SimulationFault",
@@ -51,8 +53,6 @@ __all__ = [
     "SupervisedEngine", "DEFAULT_TASK_RETRIES",
     "FailureDetector", "DEFAULT_PHI_THRESHOLD",
     "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "ChaosConfig", "ChaosResult", "run_chaos_merger",
-    "DistributedMergerConfig", "DistributedMergerResult",
-    "run_distributed_merger",
-    "RecoveryMergerConfig", "RecoveryMergerResult", "run_recovery_merger",
+    "FaultScript", "MergerConfig", "MergerResult", "run_merger",
+    "CHAOS", "DISTRIBUTED", "RECOVERY",
 ]

@@ -15,7 +15,7 @@ in flight under an exponential inter-arrival model.  When ``phi`` crosses
 ``phi_threshold`` the locality is declared dead and
 :meth:`~repro.runtime.agas.AgasRuntime.fail_locality` is invoked
 *automatically* — evacuating its migratable components — with no manual
-failure call anywhere (the chaos acceptance test asserts exactly this).
+failure call anywhere (the merger acceptance test asserts exactly this).
 
 Time here is **simulation time**: heartbeats and detector sweeps are
 events on a deterministic :class:`repro.simulator.events.EventQueue`, so

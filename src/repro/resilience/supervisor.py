@@ -24,7 +24,8 @@ callbacks (never a blocking wait inside the engine), so a retry posted
 from a worker thread is just another task for the scheduler.  Placement
 is re-decided per attempt — a task whose stream was quarantined after its
 failure overflows to the CPU or another stream on retry, which is how
-stream quarantine and task re-execution compose in the chaos run.
+stream quarantine and task re-execution compose in the merger's chaos
+script.
 
 An optional :class:`~repro.resilience.faults.FaultInjector` makes the
 supervisor its own adversary: each attempt first consults

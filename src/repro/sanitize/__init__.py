@@ -57,8 +57,8 @@ def sweep() -> list[Finding]:
 
     Reports futures still pending (abandoned), exceptional futures whose
     error was never consumed (swallowed), and stream leases still held.
-    Call after a drain/shutdown; the chaos harness calls it after the
-    chaotic run completes.
+    Call after a drain/shutdown; ``examples/merger.py`` calls it after
+    the merger run completes, under any fault script.
     """
     out = futuregraph.sweep()
     out.extend(protocol.sweep_leases(collect=False))

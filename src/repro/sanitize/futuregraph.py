@@ -181,8 +181,8 @@ def record_blocked_worker(fut: Any, waited: float) -> None:
 def sweep(collect: bool = True) -> list[state.Finding]:
     """Quiesce-point audit: report abandoned futures and swallowed errors.
 
-    Call after a drain/shutdown (the chaos harness does, and tests do
-    around injected hazards).  ``collect`` runs the garbage collector
+    Call after a drain/shutdown (``examples/merger.py`` does after the
+    merger run, and tests do around injected hazards).  ``collect`` runs the garbage collector
     first so dead-but-uncollected futures do not show up as abandoned.
     """
     if collect:
